@@ -27,10 +27,10 @@ promise:
                     then couples simulated behavior to allocator state;
                     use InlineEvent / InlineFunction instead.
   naked-packet-new  new HmcPacket / make_shared<HmcPacket> /
-                    malloc(sizeof(HmcPacket)) outside the pool-backed
-                    factory (hmc/packet.cc).  Bypassing the pool skews
-                    the allocator telemetry the perf trajectory gates on
-                    and dodges the pool's lifetime diagnostics.
+                    malloc(sizeof(HmcPacket)) outside the packet factory
+                    (hmc/packet.cc).  The factory is the one place that
+                    assigns packet ids and validates payload sizes;
+                    a packet built elsewhere skips both.
 
 Waivers: a finding is suppressed by a comment on the same line or the
 immediately preceding line:
@@ -105,11 +105,9 @@ WAIVER_RE = re.compile(
 # time on purpose (self-profiler, perf trajectory).
 WALL_CLOCK_ALLOWED_PREFIX = os.path.join("src", "obs") + os.sep
 
-# The pool-backed packet factory and the pool itself.
+# The packet factory: the one file allowed to allocate HmcPackets.
 PACKET_FACTORY_FILES = {
     os.path.join("src", "hmc", "packet.cc"),
-    os.path.join("src", "hmc", "packet_pool.h"),
-    os.path.join("src", "hmc", "packet_pool.cc"),
 }
 
 STD_FUNCTION_DIRS = (os.path.join("src", "sim") + os.sep,
@@ -246,7 +244,7 @@ def scan_stripped(rel, stripped, raw_lines):
         if not packet_factory and NAKED_PACKET_RE.search(line):
             findings.append(Finding(
                 "naked-packet-new", rel, idx,
-                "HmcPacket allocated outside the pool-backed factory "
+                "HmcPacket allocated outside the packet factory "
                 "(hmc/packet.cc)"))
         if order_sensitive and unordered_vars:
             m = re.search(r"for\s*\([^)]*:\s*(?:this->)?([A-Za-z_]\w*)\s*\)",

@@ -79,7 +79,8 @@ warn(const std::string &msg)
 void
 fatal(const std::string &msg)
 {
-    Logger::emit(LogLevel::Error, "fatal: " + msg);
+    // Not logged: the catcher reports what(), so the message is
+    // printed once.
     throw FatalError(msg);
 }
 

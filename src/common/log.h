@@ -67,7 +67,8 @@ class PanicError : public std::logic_error
 
 /**
  * Unrecoverable user error (bad configuration, invalid arguments).
- * Throws FatalError so tests can assert on it; main() catches and exits.
+ * Throws FatalError carrying @p msg without logging it, so tests can
+ * assert on it and main() prints it once when it catches and exits.
  */
 [[noreturn]] void fatal(const std::string &msg);
 

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "common/log.h"
-#include "hmc/packet_pool.h"
 
 namespace hmcsim {
 
@@ -17,13 +16,12 @@ nextPacketId()
     return g_next_packet_id.fetch_add(1, std::memory_order_relaxed);
 }
 
-/** Packet + shared_ptr control block in one (recycled) allocation. */
+/** Packet + shared_ptr control block in one allocation. */
 template <typename... Args>
 HmcPacketPtr
 allocPacket(Args &&...args)
 {
-    return std::allocate_shared<HmcPacket>(PacketPoolAllocator<HmcPacket>{},
-                                           std::forward<Args>(args)...);
+    return std::make_shared<HmcPacket>(std::forward<Args>(args)...);
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include "common/types.h"
 #include "sim/event_queue.h"
 #include "sim/partition.h"
-#include "sim/sim_config.h"
 
 namespace hmcsim {
 
@@ -56,7 +55,7 @@ class Kernel
     /**
      * Schedule @p fn @p delay ticks from now.  Panics when the delay
      * would wrap the tick clock -- a wrapped deadline lands in the
-     * past and is silently mis-ordered (calendar mode would clamp it
+     * past and is silently mis-ordered (the calendar queue clamps it
      * to now), so it is never what the caller meant.
      */
     void
@@ -113,8 +112,8 @@ class Kernel
      * schedules an event.  @p lookahead is the conservative window in
      * ticks -- the minimum latency of any cross-partition interaction.
      */
-    void enableParallel(const SimConfig &cfg, std::uint32_t partitions,
-                        std::uint32_t threads, Tick lookahead);
+    void enableParallel(std::uint32_t partitions, std::uint32_t threads,
+                        Tick lookahead);
 
     bool parallelEnabled() const { return sched_ != nullptr; }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/log.h"
 
 namespace hmcsim {
@@ -60,6 +62,21 @@ TEST_F(LogTest, FatalThrowsWithMessage)
     } catch (const FatalError &e) {
         EXPECT_STREQ(e.what(), "bad user input");
     }
+}
+
+TEST_F(LogTest, FatalDoesNotLogItsMessage)
+{
+    // The catcher prints what(); logging too would print it twice.
+    Logger::setLevel(LogLevel::Debug);
+    Logger::captureBegin();
+    std::string what;
+    try {
+        fatal("bad key");
+    } catch (const FatalError &e) {
+        what = e.what();
+    }
+    EXPECT_EQ(Logger::captureEnd(), "");
+    EXPECT_EQ(what, "bad key");
 }
 
 TEST_F(LogTest, PanicThrowsLogicError)

@@ -12,7 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <regex>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/log.h"
 #include "host/experiment.h"
@@ -156,6 +160,27 @@ TEST(ParallelIdentity, ConfigRoundTripSelectsParallel)
     EXPECT_EQ(SystemConfig::fromConfig(out).sim.parallel, "on");
 }
 
+TEST(ParallelIdentity, StaleEngineKeysFailLoudly)
+{
+    // The serial engine has no knobs left; an override of a removed
+    // key must fail instead of being silently ignored, and the error
+    // must point at the keys that exist.
+    for (const char *stale :
+         {"sim.packet_pool=1", "sim.event_queue=heap",
+          "sim.calendar_buckets=256", "sim.parralel=on"}) {
+        Config cfg;
+        cfg.applyOverrides({stale});
+        try {
+            SystemConfig::fromConfig(cfg);
+            ADD_FAILURE() << stale << " was accepted";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("sim.parallel"), std::string::npos) << msg;
+            EXPECT_NE(msg.find("sim.threads"), std::string::npos) << msg;
+        }
+    }
+}
+
 TEST(ParallelIdentity, ParallelSystemReportsPartitions)
 {
     System sys(parallelBase(2));
@@ -193,6 +218,44 @@ TEST(ParallelGating, ProfilerIsRejected)
     SystemConfig cfg = parallelBase(2);
     cfg.obs.profile = true;
     EXPECT_THROW(System{cfg}, FatalError);
+}
+
+TEST(ParallelGating, EveryGateNamesRealConfigKeys)
+{
+    // Each sim.parallel=on gate tells the user which key to change; a
+    // key quoted in the message must be one the config surface really
+    // has, or the advice cannot be followed.
+    Config written;
+    SystemConfig{}.toConfig(written);
+    const std::vector<std::function<void(SystemConfig &)>> gates = {
+        [](SystemConfig &c) { c.hmc.chain.numCubes = 1; },
+        [](SystemConfig &c) { c.hmc.power.enabled = true; },
+        [](SystemConfig &c) { c.hmc.crcErrorProb = 0.01; },
+        [](SystemConfig &c) { c.obs.profile = true; },
+        [](SystemConfig &c) {
+            c.host.numHosts = 2;
+            c.obs.anatomy = true;
+        },
+    };
+    const std::regex keyRe("\\b(hmc|host|obs|sim)\\.[a-z_]+");
+    for (std::size_t g = 0; g < gates.size(); ++g) {
+        SystemConfig cfg = parallelBase(2);
+        gates[g](cfg);
+        std::string msg;
+        try {
+            cfg.validate();
+        } catch (const FatalError &e) {
+            msg = e.what();
+        }
+        ASSERT_FALSE(msg.empty()) << "gate " << g << " did not trip";
+        int quoted = 0;
+        for (std::sregex_iterator it(msg.begin(), msg.end(), keyRe), end;
+             it != end; ++it, ++quoted)
+            EXPECT_TRUE(written.has(it->str()))
+                << "gate " << g << " names unknown key '" << it->str()
+                << "': " << msg;
+        EXPECT_GE(quoted, 2) << "gate " << g << ": " << msg;
+    }
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
 /**
  * @file
  * Differential determinism tests: the calendar queue must execute
- * every workload in exactly the order the reference heap does.  The
- * simulator's figures are pinned bit-for-bit to the (time, priority,
- * seq) execution order, so any divergence here is a correctness bug
- * in the optimized engine, not a tuning matter.
+ * every workload in exactly the order a reference priority queue keyed
+ * on (time, priority, seq) does.  The simulator's figures are pinned
+ * bit-for-bit to that execution order, so any divergence here is a
+ * correctness bug in the calendar, not a tuning matter.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -48,21 +49,72 @@ struct Op {
     int id;
 };
 
-void
-configureSmall(EventQueue &q, EventQueueKind kind)
+/** The reference: a std::priority_queue keyed on (when, priority, seq). */
+class ReferenceQueue
 {
-    // Deliberately small geometry (64 ps x 256 buckets = 16 ns span)
-    // so the workloads exercise ring wrap, far-future migration, and
-    // empty-ring re-anchoring, not just the happy path.
-    q.configure(kind, 64, 256);
-}
+  public:
+    void
+    schedule(Tick when, std::function<void()> fn, int priority = 0)
+    {
+        pending_.push(Entry{when, priority, nextSeq_++, std::move(fn)});
+    }
 
-/** Run @p ops through a queue of @p kind; return execution order. */
-std::vector<int>
-execute(EventQueueKind kind, const std::vector<Op> &ops)
+    bool empty() const { return pending_.empty(); }
+
+    Tick
+    executeNext()
+    {
+        const Entry e = pending_.top();
+        pending_.pop();
+        e.fn();
+        return e.when;
+    }
+
+    void clear() { pending_ = {}; }
+
+  private:
+    struct Entry {
+        Tick when;
+        int priority;
+        std::uint64_t seq;
+        std::function<void()> fn;
+    };
+
+    /** True when @p a fires after @p b (a min-queue on the key). */
+    struct Later {
+        bool
+        operator()(const Entry &a, const Entry &b) const
+        {
+            if (a.when != b.when)
+                return a.when > b.when;
+            if (a.priority != b.priority)
+                return a.priority > b.priority;
+            return a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Entry, std::vector<Entry>, Later> pending_;
+    std::uint64_t nextSeq_ = 0;
+};
+
+/**
+ * A calendar queue with a deliberately small geometry (64 ps x 256
+ * buckets = 16 ns span) so the workloads exercise ring wrap,
+ * far-future migration, and empty-ring re-anchoring, not just the
+ * happy path.
+ */
+class SmallCalendar : public EventQueue
 {
-    EventQueue q;
-    configureSmall(q, kind);
+  public:
+    SmallCalendar() : EventQueue(64, 256) {}
+};
+
+/** Run @p ops through a fresh queue of type @p Q; return the order. */
+template <typename Q>
+std::vector<int>
+execute(const std::vector<Op> &ops)
+{
+    Q q;
     std::vector<int> order;
     order.reserve(ops.size());
     for (const Op &op : ops)
@@ -73,15 +125,15 @@ execute(EventQueueKind kind, const std::vector<Op> &ops)
     return order;
 }
 
-/** Both engines must agree on the exact execution order of @p ops. */
+/** Calendar and reference must agree on the order of @p ops. */
 void
 expectIdenticalOrder(const std::vector<Op> &ops)
 {
-    const std::vector<int> heap = execute(EventQueueKind::Heap, ops);
-    const std::vector<int> cal = execute(EventQueueKind::Calendar, ops);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i)
-        ASSERT_EQ(heap[i], cal[i]) << "divergence at event " << i;
+    const std::vector<int> ref = execute<ReferenceQueue>(ops);
+    const std::vector<int> cal = execute<SmallCalendar>(ops);
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
 }
 
 TEST(QueueDifferential, RandomInterleavings)
@@ -103,7 +155,7 @@ TEST(QueueDifferential, RandomInterleavings)
 TEST(QueueDifferential, SameTickSamePriorityIsFifo)
 {
     // Many events at few distinct (time, priority) keys: order within
-    // a key must be schedule order in both engines.
+    // a key must be schedule order in both queues.
     std::vector<Op> ops;
     for (int i = 0; i < 300; ++i) {
         Op op;
@@ -154,19 +206,19 @@ TEST(QueueDifferential, FarFutureInserts)
 
 /**
  * Events scheduling events: replay the same self-scheduling program
- * on both engines and compare the full execution trace.  Delays are
- * drawn from a per-engine-independent PRNG stream keyed only by the
- * executing event's id, so both engines see identical programs.
+ * on both queues and compare the full execution trace.  Delays are
+ * drawn from a per-queue-independent PRNG stream keyed only by the
+ * executing event's id, so both queues see identical programs.
  */
+template <typename Q>
 std::vector<std::pair<Tick, int>>
-runSelfScheduling(EventQueueKind kind)
+runSelfScheduling()
 {
-    EventQueue q;
-    configureSmall(q, kind);
+    Q q;
     std::vector<std::pair<Tick, int>> trace;
     int nextId = 0;
     // Seed events; each execution re-schedules up to two children
-    // derived deterministically from its own id, so both engines see
+    // derived deterministically from its own id, so both queues see
     // the identical program.
     std::function<void(int, int, Tick)> fire = [&](int id, int depth,
                                                    Tick when) {
@@ -206,12 +258,12 @@ runSelfScheduling(EventQueueKind kind)
 
 TEST(QueueDifferential, ScheduleFromWithinEvents)
 {
-    const auto heap = runSelfScheduling(EventQueueKind::Heap);
-    const auto cal = runSelfScheduling(EventQueueKind::Calendar);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-        ASSERT_EQ(heap[i].first, cal[i].first) << "time diverged at " << i;
-        ASSERT_EQ(heap[i].second, cal[i].second) << "id diverged at " << i;
+    const auto ref = runSelfScheduling<ReferenceQueue>();
+    const auto cal = runSelfScheduling<SmallCalendar>();
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i].first, cal[i].first) << "time diverged at " << i;
+        ASSERT_EQ(ref[i].second, cal[i].second) << "id diverged at " << i;
     }
 }
 
@@ -222,12 +274,11 @@ TEST(QueueDifferential, ScheduleFromWithinEvents)
  * far-future heap, and the FIFO sequence counter must all reset so the
  * second life of the queue behaves exactly like a fresh one.
  */
+template <typename Q>
 std::vector<int>
-executeWithClear(EventQueueKind kind, const std::vector<Op> &first,
-                 const std::vector<Op> &second)
+executeWithClear(const std::vector<Op> &first, const std::vector<Op> &second)
 {
-    EventQueue q;
-    configureSmall(q, kind);
+    Q q;
     std::vector<int> order;
     for (const Op &op : first)
         q.schedule(op.when, [&order, id = op.id] { order.push_back(id); },
@@ -276,33 +327,27 @@ TEST(QueueDifferential, ClearThenReuse)
     far.id = 9999;
     second.push_back(far);
 
-    const auto heap =
-        executeWithClear(EventQueueKind::Heap, first, second);
-    const auto cal =
-        executeWithClear(EventQueueKind::Calendar, first, second);
-    ASSERT_EQ(heap.size(), cal.size());
-    for (std::size_t i = 0; i < heap.size(); ++i)
-        ASSERT_EQ(heap[i], cal[i]) << "divergence at event " << i;
+    const auto ref = executeWithClear<ReferenceQueue>(first, second);
+    const auto cal = executeWithClear<SmallCalendar>(first, second);
+    ASSERT_EQ(ref.size(), cal.size());
+    for (std::size_t i = 0; i < ref.size(); ++i)
+        ASSERT_EQ(ref[i], cal[i]) << "divergence at event " << i;
 }
 
 TEST(QueueDifferential, MonotoneNonDecreasingFireTimes)
 {
     // The calendar clamps past-times into the current bucket; fire
     // times reported by executeNext must still be non-decreasing for
-    // in-order workloads on both engines.
-    for (const auto kind :
-         {EventQueueKind::Heap, EventQueueKind::Calendar}) {
-        EventQueue q;
-        configureSmall(q, kind);
-        Rng rng(1234);
-        for (int i = 0; i < 1000; ++i)
-            q.schedule(rng.next(30000), [] {});
-        Tick last = 0;
-        while (!q.empty()) {
-            const Tick t = q.executeNext();
-            EXPECT_GE(t, last);
-            last = t;
-        }
+    // in-order workloads.
+    SmallCalendar q;
+    Rng rng(1234);
+    for (int i = 0; i < 1000; ++i)
+        q.schedule(rng.next(30000), [] {});
+    Tick last = 0;
+    while (!q.empty()) {
+        const Tick t = q.executeNext();
+        EXPECT_GE(t, last);
+        last = t;
     }
 }
 
